@@ -33,7 +33,7 @@ Algebra nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from repro.errors import EvaluationError
 
@@ -57,6 +57,7 @@ __all__ = [
     "Params",
     "Enumerate",
     "arity_of",
+    "node_arity",
     "walk_algebra",
     "colexpr_columns",
     "algebra_size",
@@ -403,6 +404,20 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
     union/diff arities, out-of-range coordinates), making this a static
     type check for plans.
     """
+
+    def go(node: AlgebraExpr) -> int:
+        return node_arity(node, catalog, go)
+
+    return go(expr)
+
+
+def node_arity(expr: AlgebraExpr, catalog: Mapping[str, int],
+               child_arity: Callable[[AlgebraExpr], int]) -> int:
+    """One typing step of :func:`arity_of`: the arity of ``expr`` from
+    its children's arities as ``child_arity`` reports them, with the
+    same checks.  Memoizing callers (the optimizer's per-call
+    :class:`~repro.engine.stats.PlanAnalysis`) pass a cached recursion.
+    """
     if isinstance(expr, Rel):
         try:
             return catalog[expr.name]
@@ -415,7 +430,7 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
     if isinstance(expr, Params):
         return expr.arity
     if isinstance(expr, Enumerate):
-        child = arity_of(expr.child, catalog)
+        child = child_arity(expr.child)
         for e in expr.inputs:
             bad = [i for i in colexpr_columns(e) if i > child]
             if bad:
@@ -423,7 +438,7 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
                     f"enumerate input refers to @{bad[0]} but child arity is {child}")
         return child + expr.out_count
     if isinstance(expr, Project):
-        child = arity_of(expr.child, catalog)
+        child = child_arity(expr.child)
         for e in expr.exprs:
             bad = [i for i in colexpr_columns(e) if i > child]
             if bad:
@@ -432,7 +447,7 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
                 )
         return len(expr.exprs)
     if isinstance(expr, Select):
-        child = arity_of(expr.child, catalog)
+        child = child_arity(expr.child)
         for cond in expr.conds:
             bad = [i for i in cond.columns() if i > child]
             if bad:
@@ -441,7 +456,7 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
                 )
         return child
     if isinstance(expr, Join):
-        total = arity_of(expr.left, catalog) + arity_of(expr.right, catalog)
+        total = child_arity(expr.left) + child_arity(expr.right)
         for cond in expr.conds:
             bad = [i for i in cond.columns() if i > total]
             if bad:
@@ -450,12 +465,12 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
                 )
         return total
     if isinstance(expr, (Union, Diff)):
-        left = arity_of(expr.left, catalog)
-        right = arity_of(expr.right, catalog)
+        left = child_arity(expr.left)
+        right = child_arity(expr.right)
         if left != right:
             op = "union" if isinstance(expr, Union) else "difference"
             raise EvaluationError(f"{op} arity mismatch: {left} vs {right}")
         return left
     if isinstance(expr, Product):
-        return arity_of(expr.left, catalog) + arity_of(expr.right, catalog)
+        return child_arity(expr.left) + child_arity(expr.right)
     raise TypeError(f"not an algebra expression: {expr!r}")

@@ -43,9 +43,8 @@ from repro.algebra.ast import (
     Project,
     Select,
     Union,
-    arity_of,
 )
-from repro.engine.stats import InstanceStats, estimate_cardinality
+from repro.engine.stats import InstanceStats, PlanAnalysis, estimate_cardinality
 
 __all__ = ["choose_build_sides", "match_anti_join"]
 
@@ -113,15 +112,21 @@ def _swap_join(join: Join, left_arity: int, right_arity: int) -> AlgebraExpr:
 
 def choose_build_sides(expr: AlgebraExpr, stats: InstanceStats,
                        catalog: Mapping[str, int],
-                       steps: list | None = None) -> AlgebraExpr:
+                       steps: list | None = None,
+                       analysis: PlanAnalysis | None = None) -> AlgebraExpr:
     """Swap join inputs so the estimated-smaller side is the build
     (right) side.  Output evaluates identically to the input.
 
     ``steps`` (a list, when given) receives one ``(detail, before,
     after)`` triple per swap performed — the rewrite-trace hook of the
     optimizer pass, which turns each into a validated
-    :class:`~repro.engine.rewrite.RewriteStep`.
+    :class:`~repro.engine.rewrite.RewriteStep`.  ``analysis`` is the
+    optimizer run's shared :class:`~repro.engine.stats.PlanAnalysis`
+    (a fresh one over ``stats`` and ``catalog`` when omitted).
     """
+    if analysis is None:
+        analysis = PlanAnalysis(stats, catalog)
+    arity = analysis.arity
 
     def go(node: AlgebraExpr) -> AlgebraExpr:
         if isinstance(node, Project):
@@ -145,7 +150,7 @@ def choose_build_sides(expr: AlgebraExpr, stats: InstanceStats,
                 new_context = go(context)
                 new_excluded = go(excluded)
                 return rebuild_anti_join(conds, new_context, new_excluded,
-                                         arity_of(new_context, catalog))
+                                         arity(new_context))
             return Diff(go(node.left), go(node.right))
         if isinstance(node, Product):
             return Product(go(node.left), go(node.right))
@@ -153,11 +158,11 @@ def choose_build_sides(expr: AlgebraExpr, stats: InstanceStats,
             left = go(node.left)
             right = go(node.right)
             rebuilt = Join(node.conds, left, right)
-            left_rows = estimate_cardinality(left, stats)
-            right_rows = estimate_cardinality(right, stats)
+            left_rows = estimate_cardinality(left, stats, analysis)
+            right_rows = estimate_cardinality(right, stats, analysis)
             if left_rows < right_rows:
-                left_arity = arity_of(left, catalog)
-                right_arity = arity_of(right, catalog)
+                left_arity = arity(left)
+                right_arity = arity(right)
                 swapped = _swap_join(rebuilt, left_arity, right_arity)
                 if steps is not None:
                     steps.append((

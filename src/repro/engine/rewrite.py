@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.ast import (
     AdomK,
@@ -65,7 +65,6 @@ from repro.algebra.ast import (
     Project,
     Select,
     Union,
-    arity_of,
     colexpr_columns,
     compare_values,
 )
@@ -79,7 +78,7 @@ from repro.engine.optimizer import (
     match_anti_join,
     rebuild_anti_join,
 )
-from repro.engine.stats import InstanceStats, estimate_cardinality
+from repro.engine.stats import InstanceStats, PlanAnalysis, estimate_cardinality
 from repro.errors import EvaluationError
 
 __all__ = [
@@ -173,8 +172,10 @@ def _fold_conds(conds: Iterable[Condition],
     return frozenset(remaining), False
 
 
-def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
+def _fold_constants(expr: AlgebraExpr, analysis: PlanAnalysis,
                     steps: list[RewriteStep]) -> AlgebraExpr:
+    arity = analysis.arity
+
     def empty_step(what: str, before: AlgebraExpr,
                    after: AlgebraExpr) -> AlgebraExpr:
         steps.append(RewriteStep("fold-empty", what, before=before,
@@ -188,7 +189,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
             if false or _is_empty(child):
                 return empty_step("selection can never pass",
                                   Select(node.conds, child),
-                                  _empty(arity_of(child, catalog)))
+                                  _empty(arity(child)))
             if not conds:
                 return child
             return Select(conds, child)
@@ -202,7 +203,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
         if isinstance(node, Join):
             left, right = go(node.left), go(node.right)
             conds, false = _fold_conds(node.conds, steps)
-            width = arity_of(left, catalog) + arity_of(right, catalog)
+            width = arity(left) + arity(right)
             if false or _is_empty(left) or _is_empty(right):
                 return empty_step(
                     "join can never produce a row",
@@ -216,8 +217,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
                 return empty_step(
                     "product with an empty input",
                     Product(left, right),
-                    _empty(arity_of(left, catalog)
-                           + arity_of(right, catalog)))
+                    _empty(arity(left) + arity(right)))
             return Product(left, right)
         if isinstance(node, Union):
             left, right = go(node.left), go(node.right)
@@ -235,7 +235,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
                 new_context = go(context)
                 new_excluded = go(excluded)
                 redex = rebuild_anti_join(conds0, new_context, new_excluded,
-                                          arity_of(new_context, catalog))
+                                          arity(new_context))
                 if _is_empty(new_context):
                     return empty_step("anti-join over empty context",
                                       redex, new_context)
@@ -245,7 +245,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
                     return empty_step("anti-join excludes nothing",
                                       redex, new_context)
                 return rebuild_anti_join(conds, new_context, new_excluded,
-                                         arity_of(new_context, catalog))
+                                         arity(new_context))
             left, right = go(node.left), go(node.right)
             if _is_empty(left) or _is_empty(right):
                 if _is_empty(right):
@@ -261,7 +261,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
                     "enumeration over empty input",
                     Enumerate(node.enumerator, node.inputs, node.out_count,
                               child),
-                    _empty(arity_of(child, catalog) + node.out_count))
+                    _empty(arity(child) + node.out_count))
             return Enumerate(node.enumerator, node.inputs, node.out_count,
                              child)
         return node  # Rel, Lit, Params, AdomK
@@ -274,7 +274,7 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
 # ---------------------------------------------------------------------------
 
 def _prune_join_columns(exprs: Sequence[ColExpr], child: Join | Product,
-                        catalog: Mapping[str, int],
+                        arity: Callable[[AlgebraExpr], int],
                         steps: list[RewriteStep]) -> AlgebraExpr | None:
     """Dead-column elimination below ``Project(exprs, Join/Product)``.
 
@@ -285,8 +285,8 @@ def _prune_join_columns(exprs: Sequence[ColExpr], child: Join | Product,
     usually a win).
     """
     conds = child.conds if isinstance(child, Join) else frozenset()
-    left_arity = arity_of(child.left, catalog)
-    right_arity = arity_of(child.right, catalog)
+    left_arity = arity(child.left)
+    right_arity = arity(child.right)
     needed: set[int] = set()
     for e in exprs:
         needed |= colexpr_columns(e)
@@ -328,8 +328,10 @@ def _prune_join_columns(exprs: Sequence[ColExpr], child: Join | Product,
     return result
 
 
-def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
+def _pushdown(expr: AlgebraExpr, analysis: PlanAnalysis,
               steps: list[RewriteStep]) -> AlgebraExpr:
+    arity = analysis.arity
+
     def go(node: AlgebraExpr) -> AlgebraExpr:
         if isinstance(node, Select):
             child = go(node.child)
@@ -347,7 +349,7 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                     conds, context, excluded = anti
                     result = rebuild_anti_join(
                         conds, Select(node.conds, context), excluded,
-                        arity_of(context, catalog))
+                        arity(context))
                     steps.append(RewriteStep(
                         "pushdown-select", "selection into anti-join input",
                         before=redex, after=result))
@@ -358,7 +360,7 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                     before=redex, after=result))
                 return result
             if isinstance(child, Enumerate):
-                inner_arity = arity_of(child.child, catalog)
+                inner_arity = arity(child.child)
                 inside = frozenset(
                     c for c in node.conds
                     if all(i <= inner_arity for i in c.columns()))
@@ -376,7 +378,7 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
             return redex
         if isinstance(node, Join):
             left, right = go(node.left), go(node.right)
-            left_arity = arity_of(left, catalog)
+            left_arity = arity(left)
             push_left, push_right, keep = [], [], []
             for c in node.conds:
                 cols = c.columns()
@@ -413,8 +415,7 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                     before=Project(node.exprs, child), after=result))
                 return result
             if isinstance(child, (Join, Product)):
-                pruned = _prune_join_columns(node.exprs, child, catalog,
-                                             steps)
+                pruned = _prune_join_columns(node.exprs, child, arity, steps)
                 if pruned is not None:
                     return pruned
             return Project(node.exprs, child)
@@ -429,7 +430,7 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                 conds, context, excluded = anti
                 new_context = go(context)
                 return rebuild_anti_join(conds, new_context, go(excluded),
-                                         arity_of(new_context, catalog))
+                                         arity(new_context))
             return Diff(go(node.left), go(node.right))
         if isinstance(node, Product):
             return Product(go(node.left), go(node.right))
@@ -454,7 +455,7 @@ def _region_projection(n: AlgebraExpr) -> bool:
 
 
 def _flatten_region(
-        node: AlgebraExpr, catalog: Mapping[str, int],
+        node: AlgebraExpr, analysis: PlanAnalysis,
 ) -> tuple[list[AlgebraExpr], list[Condition], tuple[int, ...]]:
     """Flatten a maximal Join/Product region into its non-join leaves,
     all conditions in region coordinates (the concatenation of the
@@ -480,7 +481,7 @@ def _flatten_region(
             out = walk(n.child)
             return tuple(out[e.index - 1] for e in n.exprs)
         leaves.append(n)
-        width = arity_of(n, catalog)
+        width = analysis.arity(n)
         out = tuple(range(next_col + 1, next_col + width + 1))
         next_col += width
         return out
@@ -506,8 +507,7 @@ def _rebuild_region(node: AlgebraExpr,
 
 def _greedy_join_order(leaves: Sequence[AlgebraExpr],
                        conds: Sequence[Condition],
-                       outcols: Sequence[int], stats: InstanceStats,
-                       catalog: Mapping[str, int],
+                       outcols: Sequence[int], analysis: PlanAnalysis,
                        steps: list[RewriteStep],
                        region_before: AlgebraExpr | None = None,
                        ) -> AlgebraExpr:
@@ -515,8 +515,13 @@ def _greedy_join_order(leaves: Sequence[AlgebraExpr],
     extend with the estimated-cheapest join, preferring connected
     extensions; every condition attaches at the earliest join where all
     of its columns are available.  Returns the rebuilt region wrapped
-    in a projection restoring the region's original output columns."""
-    arities = [arity_of(leaf, catalog) for leaf in leaves]
+    in a projection restoring the region's original output columns.
+
+    Each trial extension is costed through ``analysis``: the current
+    prefix keeps its identity from step to step, so a trial costs its
+    new leaf and new conditions, not a re-walk of the prefix."""
+    stats = analysis.stats
+    arities = [analysis.arity(leaf) for leaf in leaves]
     starts: list[int] = []
     offset = 0
     for a in arities:
@@ -530,7 +535,8 @@ def _greedy_join_order(leaves: Sequence[AlgebraExpr],
         raise AssertionError(f"column @{col} outside join region")
 
     cond_leaves = [frozenset(leaf_of(i) for i in c.columns()) for c in conds]
-    estimates = [estimate_cardinality(leaf, stats) for leaf in leaves]
+    estimates = [estimate_cardinality(leaf, stats, analysis)
+                 for leaf in leaves]
 
     start = min(range(len(leaves)), key=lambda i: (estimates[i], i))
     col_map: dict[int, int] = {
@@ -540,19 +546,15 @@ def _greedy_join_order(leaves: Sequence[AlgebraExpr],
     current_arity = arities[start]
     placed = {start}
     order = [start]
-    applied = [False] * len(conds)
 
-    def remap_cond(cond: Condition, mapping: dict[int, int]) -> Condition:
-        get = mapping.__getitem__
+    def remap_cond(cond: Condition, get: Callable[[int], int]) -> Condition:
         return Condition(_shift_colexpr(cond.left, get), cond.op,
                          _shift_colexpr(cond.right, get))
 
-    ready = frozenset(remap_cond(conds[k], col_map)
+    ready = frozenset(remap_cond(conds[k], col_map.__getitem__)
                       for k in range(len(conds))
-                      if not applied[k] and cond_leaves[k] <= placed)
-    for k in range(len(conds)):
-        if cond_leaves[k] <= placed:
-            applied[k] = True
+                      if cond_leaves[k] <= placed)
+    pending = [k for k in range(len(conds)) if not cond_leaves[k] <= placed]
     if ready:
         current = Select(ready, current)
 
@@ -561,26 +563,32 @@ def _greedy_join_order(leaves: Sequence[AlgebraExpr],
         for cand in range(len(leaves)):
             if cand in placed:
                 continue
-            usable = [k for k in range(len(conds))
-                      if not applied[k]
-                      and cond_leaves[k] <= placed | {cand}]
-            trial_map = dict(col_map)
-            for j in range(1, arities[cand] + 1):
-                trial_map[starts[cand] + j] = current_arity + j
-            mapped = frozenset(remap_cond(conds[k], trial_map)
+            reach = placed | {cand}
+            usable = [k for k in pending if cond_leaves[k] <= reach]
+            # the candidate's region columns follow the prefix's
+            low, high = starts[cand], starts[cand] + arities[cand]
+            shift = current_arity - low
+
+            def trial_col(g: int, low: int = low, high: int = high,
+                          shift: int = shift) -> int:
+                return g + shift if low < g <= high else col_map[g]
+
+            mapped = frozenset(remap_cond(conds[k], trial_col)
                                for k in usable)
             trial = (Join(mapped, current, leaves[cand]) if mapped
                      else Product(current, leaves[cand]))
-            score = estimate_cardinality(trial, stats)
+            score = estimate_cardinality(trial, stats, analysis)
             key = (not usable, score, cand)
             if best is None or key < best[0]:
-                best = (key, cand, usable, trial, trial_map)
-        _, cand, usable, current, col_map = best
+                best = (key, cand, usable, trial)
+        assert best is not None
+        _, cand, usable, current = best
+        for j in range(1, arities[cand] + 1):
+            col_map[starts[cand] + j] = current_arity + j
         current_arity += arities[cand]
         placed.add(cand)
         order.append(cand)
-        for k in usable:
-            applied[k] = True
+        pending = [k for k in pending if k not in usable]
 
     restore = tuple(Col(col_map[g]) for g in outcols)
     result = Project(restore, current)
@@ -594,16 +602,16 @@ def _greedy_join_order(leaves: Sequence[AlgebraExpr],
     return result
 
 
-def _reorder_joins(expr: AlgebraExpr, stats: InstanceStats,
-                   catalog: Mapping[str, int], steps: list) -> AlgebraExpr:
+def _reorder_joins(expr: AlgebraExpr, analysis: PlanAnalysis,
+                   steps: list[RewriteStep]) -> AlgebraExpr:
     def go(node: AlgebraExpr) -> AlgebraExpr:
         if isinstance(node, (Join, Product)):
-            leaves, conds, outcols = _flatten_region(node, catalog)
+            leaves, conds, outcols = _flatten_region(node, analysis)
             new_leaves = [go(leaf) for leaf in leaves]
             if len(new_leaves) >= 3:
                 region_before = _rebuild_region(node, iter(new_leaves))
-                return _greedy_join_order(new_leaves, conds, outcols, stats,
-                                          catalog, steps, region_before)
+                return _greedy_join_order(new_leaves, conds, outcols,
+                                          analysis, steps, region_before)
             return _rebuild_region(node, iter(new_leaves))
         if isinstance(node, Project):
             return Project(node.exprs, go(node.child))
@@ -620,7 +628,7 @@ def _reorder_joins(expr: AlgebraExpr, stats: InstanceStats,
                 conds, context, excluded = anti
                 new_context = go(context)
                 return rebuild_anti_join(conds, new_context, go(excluded),
-                                         arity_of(new_context, catalog))
+                                         analysis.arity(new_context))
             return Diff(go(node.left), go(node.right))
         return node
 
@@ -699,26 +707,39 @@ def optimize_plan(expr: AlgebraExpr, stats: InstanceStats,
     :class:`~repro.errors.EvaluationError` (an un-typable plan), the
     steps recorded up to that point are attached to the exception as
     ``rewrite_steps`` so callers falling back to the unoptimized plan
-    can report what was attempted.
+    can report what was attempted.  The input is type-checked before
+    any rewrite, so an ill-typed plan fails with no steps.
+
+    Every pass reads arities and estimates through one
+    :class:`~repro.engine.stats.PlanAnalysis` for the call, so no
+    subtree is analysed twice: greedy reordering of an ``n``-leaf chain
+    costs ``O(n²)`` analysis steps instead of re-walking the left-deep
+    prefix for every trial.  The memo changes no arithmetic, so plans,
+    steps and shared sets are those of unmemoized analysis.
     """
     steps: list[RewriteStep] = []
+    analysis = PlanAnalysis(stats, catalog)
+    arity = analysis.arity
     try:
-        plan = _fold_constants(expr, catalog, steps)
-        plan = simplify(plan, catalog)
+        # Type-check the input once; its nodes' arities stay cached.
+        expected_arity = arity(expr)
+        plan = _fold_constants(expr, analysis, steps)
+        plan = simplify(plan, catalog, arity=arity)
         # Reorder before pushdown: the simplifier has merged selections
         # into the join nodes, so Join/Product regions are maximal here —
         # column pruning below would interpose projections and split them.
-        plan = simplify(_reorder_joins(plan, stats, catalog, steps), catalog)
+        plan = simplify(_reorder_joins(plan, analysis, steps), catalog,
+                        arity=arity)
         for _ in range(MAX_PUSHDOWN_ROUNDS):
             round_steps: list[RewriteStep] = []
-            candidate = simplify(_pushdown(plan, catalog, round_steps),
-                                 catalog)
+            candidate = simplify(_pushdown(plan, analysis, round_steps),
+                                 catalog, arity=arity)
             if candidate == plan:
                 break
             plan = candidate
             steps.extend(round_steps)
-        swaps: list[tuple] = []
-        plan = choose_build_sides(plan, stats, catalog, swaps)
+        swaps: list[tuple[str, AlgebraExpr, AlgebraExpr]] = []
+        plan = choose_build_sides(plan, stats, catalog, swaps, analysis)
         steps.extend(RewriteStep("build-side", detail, before=b, after=a)
                      for detail, b, a in swaps)
         shared = shared_subplans(plan)
@@ -728,9 +749,13 @@ def optimize_plan(expr: AlgebraExpr, stats: InstanceStats,
     except EvaluationError as err:
         err.rewrite_steps = tuple(steps)
         raise
+    finally:
+        # The passes' recursive closures keep the analysis reachable
+        # until the cycle collector runs: release its pinned nodes now.
+        analysis.clear()
     if verify_plans_enabled(verify):
         check_plan(plan, catalog, phase="optimize",
-                   expected_arity=arity_of(expr, catalog))
+                   expected_arity=expected_arity)
         check_rewrites(expr, plan, steps, shared, catalog, schema=schema,
                        phase="optimize")
     return OptimizationResult(plan, tuple(steps), shared)

@@ -157,10 +157,11 @@ class ExecutionProfile:
         """Attach ``estimate_cardinality`` of each node's originating
         algebra expression (``instance_stats`` is an
         :class:`repro.engine.stats.InstanceStats`)."""
-        from repro.engine.stats import estimate_cardinality
+        from repro.engine.stats import PlanAnalysis, estimate_cardinality
+        analysis = PlanAnalysis(instance_stats)
         for op_id, node in self._algebra.items():
             self.nodes[op_id].estimated_rows = estimate_cardinality(
-                node, instance_stats)
+                node, instance_stats, analysis)
 
     def total_rows(self) -> int:
         """Rows produced across all operators (the E6 cost measure)."""

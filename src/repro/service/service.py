@@ -41,12 +41,15 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from repro.algebra.ast import AlgebraExpr
+from repro.algebra.printer import to_algebra_text
 from repro.core.parser import parse_query
 from repro.core.queries import CalculusQuery
 from repro.core.schema import DatabaseSchema
@@ -141,13 +144,19 @@ class ServiceReport:
     """Everything one request produced.
 
     ``status`` is ``"ok"``, ``"refused"`` (safety check), ``"error"``
-    (parse/evaluation failure), or ``"timeout"`` (pooled paths only).
+    (parse/evaluation failure, or any other exception raised while
+    serving — then ``error`` starts with the exception's type name), or
+    ``"timeout"`` (pooled paths only).
     ``cache`` is ``"hit"`` or ``"miss"`` once the plan cache was
     consulted, ``None`` when the request failed before reaching it.
     ``timings`` carries per-phase seconds: ``total_s``, ``parse_s``,
-    ``execute_s``, and — only when a translation actually ran —
-    ``translate_s``; a warm request has no translation time because no
-    translation happened.
+    ``execute_s`` (physical planning and the operator pipeline), and —
+    once the executor returned — ``optimize_s`` (the cost-based rewrite
+    pass, 0.0 when it is off; not part of ``execute_s``), and — only
+    when a translation actually ran — ``translate_s``; a warm request
+    has no translation time because no translation happened.
+    ``plan_text`` renders ``plan``, the translated plan, in the paper's
+    notation when read.
     """
 
     query: str
@@ -155,7 +164,7 @@ class ServiceReport:
     cache: str | None = None
     result: Relation | None = None
     error: str | None = None
-    plan_text: str | None = None
+    plan: AlgebraExpr | None = field(default=None, repr=False)
     timings: dict[str, float] = field(default_factory=dict)
     function_calls: int = 0
     #: Which engine produced the result ("native" or "sqlite").
@@ -170,6 +179,14 @@ class ServiceReport:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def plan_text(self) -> str | None:
+        """The translated plan in the paper's algebra notation (``None``
+        when the request produced no plan)."""
+        if self.plan is None:
+            return None
+        return to_algebra_text(self.plan)
 
     def rows(self) -> list[tuple]:
         """Answer rows in a stable order (empty for failed requests)."""
@@ -188,7 +205,7 @@ class ServiceReport:
             out["rows"] = [list(r) for r in self.rows()]
         if self.error is not None:
             out["error"] = self.error
-        if self.plan_text is not None:
+        if self.plan is not None:
             out["plan"] = self.plan_text
         if self.backend != "native":
             out["backend"] = self.backend
@@ -276,8 +293,8 @@ class QueryService:
                      "plan_cache.hits", "plan_cache.misses",
                      "plan_cache.evictions"):
             self.metrics.counter(name)
-        for name in ("service.parse", "service.translate", "service.execute",
-                     "service.request"):
+        for name in ("service.parse", "service.translate", "service.optimize",
+                     "service.execute", "service.request"):
             self.metrics.timer(name)
 
     # -- configuration ------------------------------------------------------
@@ -448,9 +465,21 @@ class QueryService:
         self._count("service.requests")
         tracer = SpanTracer() if self.tracer.enabled else NULL_TRACER
         start = time.perf_counter()
+        report = ServiceReport(query=request.describe(), status="ok")
         try:
             with tracer.span("service.request") as span:
-                report = self._serve(request, tracer)
+                try:
+                    self._serve(request, tracer, report)
+                except Exception as err:
+                    # Anything the layers below did not turn into a
+                    # ReproError (a raising scalar function, an engine
+                    # bug) fails this request only, never the caller
+                    # or the rest of a run_many batch.
+                    report.status = "error"
+                    report.error = f"{type(err).__name__}: {err}"
+                    report.result = None
+                    if tracer.enabled:
+                        span.attrs["traceback"] = traceback.format_exc()
                 if tracer.enabled:
                     span.attrs["status"] = report.status
                     if report.cache:
@@ -467,8 +496,9 @@ class QueryService:
             self._count("service.errors")
         return report
 
-    def _serve(self, request: ServiceRequest, tracer: SpanTracer) -> ServiceReport:
-        report = ServiceReport(query=request.describe(), status="ok")
+    def _serve(self, request: ServiceRequest, tracer: SpanTracer,
+               report: ServiceReport) -> None:
+        """Fill ``report`` for ``request``."""
         with self._lock:
             schema = self._schema
             annotations = self._annotations
@@ -497,7 +527,7 @@ class QueryService:
             except ReproError as err:
                 report.status = "error"
                 report.error = str(err)
-                return report
+                return
             finally:
                 report.timings["parse_s"] = time.perf_counter() - t0
                 self._observe("service.parse", report.timings["parse_s"])
@@ -532,7 +562,7 @@ class QueryService:
                 # retries rather than pinning the failure.
                 report.status = "error"
                 report.error = str(err)
-                return report
+                return
             finally:
                 report.timings["translate_s"] = time.perf_counter() - t1
                 self._observe("service.translate", report.timings["translate_s"])
@@ -543,7 +573,7 @@ class QueryService:
         if isinstance(outcome, CachedRefusal):
             report.status = "refused"
             report.error = outcome.message
-            return report
+            return
 
         plan = outcome.plan
         if parameterized:
@@ -551,6 +581,7 @@ class QueryService:
             self._count("service.batch_rows", len(request.rows))
 
         t2 = time.perf_counter()
+        run = None
         try:
             with tracer.span("execute") as span:
                 interp = self._current_interp(outcome.schema)
@@ -566,10 +597,15 @@ class QueryService:
         except ReproError as err:
             report.status = "error"
             report.error = str(err)
-            return report
+            return
         finally:
-            report.timings["execute_s"] = time.perf_counter() - t2
-            self._observe("service.execute", report.timings["execute_s"])
+            elapsed = time.perf_counter() - t2
+            if run is not None:
+                report.timings["optimize_s"] = run.optimize_seconds
+                self._observe("service.optimize", run.optimize_seconds)
+                elapsed -= run.optimize_seconds
+            report.timings["execute_s"] = elapsed
+            self._observe("service.execute", elapsed)
 
         report.result = run.result
         report.function_calls = run.function_calls
@@ -577,9 +613,7 @@ class QueryService:
         report.backend_error = run.backend_error
         report.batch_repr = run.batch_repr
         report.batch_repr_error = run.batch_repr_error
-        from repro.algebra.printer import to_algebra_text
-        report.plan_text = to_algebra_text(outcome.plan)
-        return report
+        report.plan = outcome.plan
 
     # -- introspection ------------------------------------------------------
 

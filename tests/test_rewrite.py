@@ -9,6 +9,9 @@ the gallery and a seeded random corpus, swept at batch sizes 1 and
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.algebra.ast import (
@@ -26,6 +29,9 @@ from repro.algebra.ast import (
     Union,
     walk_algebra,
 )
+from repro.algebra.printer import to_algebra_text
+from repro.analysis.sanitizer import set_verify_plans
+from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.data.generators import random_instance, standard_functions
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
@@ -43,15 +49,20 @@ from repro.engine import (
     shared_subplans,
     stats_for,
 )
+from repro.engine import rewrite as rewrite_module
+from repro.engine.stats import PlanAnalysis, estimate_cardinality
 from repro.errors import EvaluationError
 from repro.semantics.eval_calculus import evaluate_query, query_schema
 from repro.translate.pipeline import translate_query
+from repro.workloads.families import join_chain_query
 from repro.workloads.gallery import (
     GALLERY,
     gallery_instance,
     standard_gallery_interp,
 )
 from repro.workloads.random_queries import random_em_allowed_query
+
+from benchmarks.test_bench_e13_optimizer import skewed_chain_instance
 
 INTERP = Interpretation({}, {})
 
@@ -453,3 +464,123 @@ class TestOptimizerDiagnostics:
         assert report.rewrites
         assert report.optimize_seconds > 0.0
         assert "rewrite(s)" in report.summary()
+
+
+# ---------------------------------------------------------------------------
+# The per-call plan analysis memo
+# ---------------------------------------------------------------------------
+
+#: Optimized plan text, step strings and shared set of each chain, as
+#: the unmemoized optimizer produced them.
+PINS = json.loads(
+    (Path(__file__).parent / "data" / "optimizer_pins.json").read_text())
+
+
+def _wide_chain_instance():
+    """The layer benchmark's wide-joins data: 3-row identity relations
+    E0..E31 and a 2-row blocking relation B."""
+    identity = [(d, d) for d in range(3)]
+    return Instance.of(**{f"E{i}": identity for i in range(32)},
+                       B=[(0, 0), (0, 1)])
+
+
+def _chain_case(name: str):
+    kind, n = name.rsplit("-", 1)
+    instance = (_wide_chain_instance() if kind == "chain"
+                else skewed_chain_instance(int(n)))
+    return translate_query(join_chain_query(int(n))), instance
+
+
+class TestPlanAnalysisMemo:
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_optimized_chain_matches_pin(self, name):
+        result, instance = _chain_case(name)
+        outcome = _opt(result.plan, instance, result.schema)
+        assert to_algebra_text(outcome.plan) == PINS[name]["plan"]
+        assert [str(step) for step in outcome.steps] == PINS[name]["steps"]
+        assert sorted(to_algebra_text(node) for node in outcome.shared) \
+            == PINS[name]["shared"]
+
+    def test_analysis_work_is_quadratic_in_chain_width(self, monkeypatch):
+        made: list[PlanAnalysis] = []
+
+        class Recording(PlanAnalysis):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(rewrite_module, "PlanAnalysis", Recording)
+        instance = _wide_chain_instance()
+        work = {}
+        for n in (16, 32):
+            result = translate_query(join_chain_query(n))
+            made.clear()
+            optimize_plan(result.plan, stats_for(instance),
+                          plan_catalog(result.plan, instance, result.schema),
+                          verify=False)
+            assert len(made) == 1  # one analysis for the whole call
+            work[n] = made[0].evaluations
+        # doubling the width at most about quadruples the work (the
+        # unmemoized walks grew by 8x or more per doubling)
+        assert work[32] <= 5 * work[16], work
+
+    def test_memoized_estimates_equal_fresh_ones(self):
+        result, instance = _chain_case("e13-5")
+        stats = stats_for(instance)
+        catalog = plan_catalog(result.plan, instance, result.schema)
+        plan = optimize_plan(result.plan, stats, catalog).plan
+        analysis = PlanAnalysis(stats, catalog)
+        for node in walk_algebra(plan):
+            assert estimate_cardinality(node, stats, analysis) \
+                == estimate_cardinality(node, stats)
+
+    @pytest.mark.parametrize("plan", [
+        Project((Col(1), Col(1)), Union(Rel("R"), Rel("S"))),
+        Select(frozenset({Condition(Col(1), "=", CConst(1))}),
+               Rel("Missing")),
+    ], ids=["union-arity-mismatch", "unknown-relation"])
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_ill_typed_plan_raises_with_steps(self, chain_instance, plan,
+                                              verify):
+        with pytest.raises(EvaluationError) as info:
+            optimize_plan(plan, stats_for(chain_instance),
+                          plan_catalog(plan, chain_instance), verify=verify)
+        # type-checked before any rewrite: nothing was applied
+        assert info.value.rewrite_steps == ()
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_execute_falls_back_on_ill_typed_plan(self, verify):
+        # The schema's catalog omits Hidden, so the optimizer cannot
+        # type the plan; the planner runs it straight off the instance.
+        instance = Instance.of(R=[(1, 2), (2, 3)], Hidden=[(1,), (2,)])
+        schema = DatabaseSchema(relations=[RelationSchema("R", 2)],
+                                functions=[])
+        plan = Select(frozenset({Condition(Col(1), "=", CConst(1))}),
+                      Rel("Hidden"))
+        previous = set_verify_plans(verify)
+        try:
+            report = execute(plan, instance, INTERP, schema=schema,
+                             optimize=True, backend="native",
+                             batch_repr="tuple")
+        finally:
+            set_verify_plans(previous)
+        assert report.result.rows == {(1,)}
+        assert "Hidden" in report.optimizer_error
+        assert report.rewrites == () and report.failed_rewrites == ()
+
+    def test_failures_are_never_cached(self, chain_instance):
+        bad = Union(Rel("R"), Rel("S"))
+        analysis = PlanAnalysis(stats_for(chain_instance),
+                                plan_catalog(bad, chain_instance))
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="arity mismatch"):
+                analysis.arity(bad)
+        missing = Rel("Missing")
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="unknown relation"):
+                analysis.arity(missing)
+        # the well-typed children stay cached and correct
+        assert analysis.arity(bad.left) == 2
+        assert analysis.arity(bad.right) == 1

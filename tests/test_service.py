@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algebra.printer import to_algebra_text
 from repro.core.schema import DatabaseSchema
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
@@ -320,6 +321,87 @@ class TestServiceOptimizeSwitch:
             assert tuned.result == baseline.result
         finally:
             on.close()
+
+
+class TestServiceBoundaryErrors:
+    """A non-ReproError raised while serving fails that request only."""
+
+    @pytest.fixture
+    def divide_service(self):
+        svc = QueryService(Instance.of(R=[(0,), (1,)]),
+                           interpretation=Interpretation(
+                               {"f": lambda x: 1 // x}))
+        yield svc
+        svc.close()
+
+    def test_raising_function_is_an_error_report(self, divide_service):
+        report = divide_service.run("{ x, y | R(x) & f(x) = y }")
+        assert report.status == "error"
+        assert report.error.startswith("ZeroDivisionError")
+        assert report.result is None and report.cache == "miss"
+        assert divide_service.stats()["errors"] == 1
+
+    def test_traced_error_keeps_its_traceback(self):
+        tracer = SpanTracer()
+        svc = QueryService(Instance.of(R=[(0,), (1,)]),
+                           interpretation=Interpretation(
+                               {"f": lambda x: 1 // x}),
+                           tracer=tracer)
+        try:
+            svc.run("{ x, y | R(x) & f(x) = y }")
+        finally:
+            svc.close()
+        root = tracer.roots[-1]
+        assert root.attrs["status"] == "error"
+        assert "ZeroDivisionError" in root.attrs["traceback"]
+
+    def test_run_many_returns_every_report(self, divide_service):
+        reports = divide_service.run_many(
+            ["{ x | R(x) }", "{ x, y | R(x) & f(x) = y }", "{ x | R(x) }"])
+        assert [r.status for r in reports] == ["ok", "error", "ok"]
+        assert reports[0].rows() == [(0,), (1,)] == reports[2].rows()
+        assert divide_service.stats()["errors"] == 1
+
+    def test_malformed_requests_still_raise(self, divide_service):
+        with pytest.raises(ReproError):
+            divide_service.run(42)
+        with pytest.raises(ReproError):
+            divide_service.run_many([{"query": "{ x | R(x) }", "bogus": 1}])
+        assert divide_service.stats()["errors"] == 0
+
+
+class TestReportFields:
+    def test_optimize_time_is_reported_apart_from_execute(self):
+        svc = QueryService(gallery_instance(),
+                           interpretation=standard_gallery_interp(),
+                           optimize=True)
+        try:
+            timings = svc.run(FLAGSHIP).timings
+            snapshot = svc.metrics.snapshot()
+        finally:
+            svc.close()
+        assert timings["optimize_s"] > 0.0
+        assert timings["execute_s"] >= 0.0
+        assert (timings["optimize_s"] + timings["execute_s"]
+                <= timings["total_s"])
+        assert snapshot["service.optimize"]["count"] == 1
+
+    def test_optimize_time_is_zero_when_the_pass_is_off(self):
+        svc = QueryService(gallery_instance(),
+                           interpretation=standard_gallery_interp(),
+                           optimize=False)
+        try:
+            assert svc.run(FLAGSHIP).timings["optimize_s"] == 0.0
+        finally:
+            svc.close()
+
+    def test_plan_text_renders_the_translated_plan(self, service):
+        report = service.run("{ g(f(x)) | R(x) }")
+        assert report.plan_text == to_algebra_text(report.plan)
+        assert report.plan_text == "project([g(f(@1))], R)"
+        assert report.to_dict()["plan"] == report.plan_text
+        refused = service.run("{ x | ~R(x) }")
+        assert refused.plan_text is None and "plan" not in refused.to_dict()
 
 
 class TestGalleryAgainstReference:
